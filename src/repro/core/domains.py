@@ -143,10 +143,11 @@ class DomainInfluence:
         classifier: NaiveBayesClassifier,
     ) -> "DomainInfluence":
         """Classify every post with ``classifier`` and build the vectors."""
-        memberships = {
-            post_id: classifier.predict_proba(corpus.post(post_id).text)
-            for post_id in sorted(corpus.posts)
-        }
+        post_ids = sorted(corpus.posts)
+        posteriors = classifier.predict_proba_batch(
+            corpus.post(post_id).text for post_id in post_ids
+        )
+        memberships = dict(zip(post_ids, posteriors))
         return cls(corpus, scores, memberships, classifier.classes)
 
     # ------------------------------------------------------------------

@@ -9,7 +9,10 @@ identical (the fixed point is unique under the contraction condition;
 see :mod:`repro.core.parameters`) but typically converges in a fraction
 of the iterations when the delta is small.
 
-Post domain memberships are cached: only new posts are classified.
+Each post is tokenized once, by the one text pass
+(:func:`~repro.core.text_features.text_features`) that feeds Length,
+Novelty and the batch domain classifier; post domain memberships are
+cached, so only new posts are tokenized and classified.
 Under the sparse solver backend the analyzer additionally carries an
 :class:`~repro.core.assemble.AssemblyCache` across re-solves: the
 compiled CSR arrays are reused and only *dirty* rows (rows the delta
@@ -19,14 +22,16 @@ classified for comments the previous pass has not seen.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.assemble import AssemblyCache
 from repro.core.domains import DomainInfluence
+from repro.core.novelty import LexiconNoveltyDetector
 from repro.core.parameters import MassParameters
 from repro.core.report import InfluenceReport
-from repro.core.solver import InfluenceSolver
+from repro.core.solver import InfluenceScores, InfluenceSolver
+from repro.core.text_features import text_features
 from repro.data.corpus import BlogCorpus
 from repro.data.entities import Blogger, Comment, Link, Post
 from repro.errors import CorpusError, ReproError
@@ -314,6 +319,10 @@ class IncrementalAnalyzer:
         self._report: InfluenceReport | None = None
         self._memberships: dict[str, dict[str, float]] = {}
         self._cache = AssemblyCache()
+        # The quality scorer's default detector, fed by the text pass.
+        self._novelty = LexiconNoveltyDetector(
+            copied_value=self._params.novelty_copied
+        )
         self._last_iterations = 0
         self._cold_iterations = 0
 
@@ -359,20 +368,23 @@ class IncrementalAnalyzer:
         return self._cache.last_changed_ids
 
     # ------------------------------------------------------------------
-    def _classify_all_posts(self, corpus: BlogCorpus) -> None:
-        for post_id in sorted(corpus.posts):
-            if post_id not in self._memberships:
-                self._memberships[post_id] = self._classifier.predict_proba(
-                    corpus.post(post_id).text
-                )
+    def _prepare_posts(self, posts: Iterable[Post]) -> None:
+        """One text pass over ``posts``, then one batch classification.
 
-    def _classify_new_posts(self, posts: Sequence[Post]) -> None:
-        # Exactly the delta's posts — never a scan over the corpus.
-        for post in sorted(posts, key=lambda p: p.post_id):
-            if post.post_id not in self._memberships:
-                self._memberships[post.post_id] = (
-                    self._classifier.predict_proba(post.text)
-                )
+        The pass fills the assembly cache's word-count and novelty
+        caches, so the solver's quality stage never tokenizes; the
+        posteriors extend the membership dict in place.
+        """
+        tracer = self._instr.tracer
+        cache = self._cache
+        with tracer.span("text-features"):
+            post_ids, ids, ptr = text_features(
+                posts, self._classifier, self._novelty,
+                cache.word_counts, cache.novelty_values_for(self._params),
+            )
+        with tracer.span("classify"):
+            posteriors = self._classifier.classify_batch(ids, ptr)
+        self._memberships.update(zip(post_ids, posteriors))
 
     def _analyze(
         self,
@@ -382,6 +394,13 @@ class IncrementalAnalyzer:
     ) -> InfluenceReport:
         cache = self._cache
         previous = self._report
+        if delta is None:
+            self._prepare_posts(
+                corpus.post(post_id) for post_id in sorted(corpus.posts)
+            )
+        else:
+            # Exactly the delta's posts — never a scan over the corpus.
+            self._prepare_posts(sorted(delta.posts, key=lambda p: p.post_id))
         scores = InfluenceSolver(
             corpus,
             self._params,
@@ -390,11 +409,18 @@ class IncrementalAnalyzer:
             assembly_cache=cache,
         ).solve(initial=initial)
         self._last_iterations = scores.iterations
-        if delta is None:
-            self._classify_all_posts(corpus)
-        else:
-            self._classify_new_posts(delta.posts)
-        changed = cache.last_changed_ids
+        with self._instr.tracer.span("domains"):
+            return self._build_report(corpus, scores, previous, delta)
+
+    def _build_report(
+        self,
+        corpus: BlogCorpus,
+        scores: InfluenceScores,
+        previous: InfluenceReport | None,
+        delta: CorpusDelta | None,
+    ) -> InfluenceReport:
+        """Eq. 5 domain vectors and rankings over a fresh solve."""
+        changed = self._cache.last_changed_ids
         if delta is not None and previous is not None and changed is not None:
             # O(dirty rows) report: patch the previous report's domain
             # vectors and rankings for the changed bloggers only.  The
@@ -405,7 +431,7 @@ class IncrementalAnalyzer:
                 corpus,
                 scores,
                 self._memberships,
-                changed_authors=set(cache.last_changed_authors or ()),
+                changed_authors=set(self._cache.last_changed_authors or ()),
             )
             ranked = previous.general_ranked().patched(
                 {

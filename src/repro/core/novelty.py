@@ -71,8 +71,11 @@ class LexiconNoveltyDetector(NoveltyDetector):
         if not self._phrases:
             raise ValueError("need at least one copy-indicator phrase")
         self._copied_value = copied_value
+        self._first_tokens = frozenset(phrase[0] for phrase in self._phrases)
 
     def _contains_phrase(self, tokens: Sequence[str]) -> bool:
+        if self._first_tokens.isdisjoint(tokens):
+            return False
         token_set = set(tokens)
         for phrase in self._phrases:
             if phrase[0] not in token_set:
@@ -84,7 +87,10 @@ class LexiconNoveltyDetector(NoveltyDetector):
         return False
 
     def novelty(self, post: Post) -> float:
-        tokens = tokenize(post.text)
+        return self.novelty_of_tokens(tokenize(post.text))
+
+    def novelty_of_tokens(self, tokens: Sequence[str]) -> float:
+        """Novelty of a post given its ``tokenize(post.text)`` tokens."""
         if self._contains_phrase(tokens):
             return self._copied_value
         return 1.0

@@ -38,7 +38,8 @@ class QualityScorer:
         ``params.novelty_copied`` as the copied value.
     posts:
         The post population; required for ``"max"`` normalization
-        (to know the corpus maximum length).
+        (to know the corpus maximum length).  Read lazily, on the first
+        :attr:`max_words` lookup.
     reference_day:
         The day post ages are measured back from when the temporal
         facet is active (the corpus horizon).  Ignored — and every
@@ -47,8 +48,9 @@ class QualityScorer:
         Optional read-through caches keyed by post id.  Posts are
         immutable and post ids are globally unique, so a count or
         novelty value computed once is valid for the post's lifetime;
-        the warm apply path shares these dicts across solves so only
-        the delta's posts are ever tokenized twice.  ``novelty_values``
+        the incremental analyzer fills them in its one text pass
+        (:func:`~repro.core.text_features.text_features`), so a scorer
+        reading through them never tokenizes.  ``novelty_values``
         must only be supplied when ``novelty_detector`` is None (the
         default lexicon detector is a pure function of the post text;
         custom detectors may be corpus-dependent).
@@ -74,15 +76,22 @@ class QualityScorer:
         self._novelty_values = (
             novelty_values if novelty_detector is None else None
         )
-        self._max_words = 0
-        if params.length_normalization == "max":
-            self._max_words = max(
-                (self._words(post) for post in posts), default=0
-            )
+        self._posts = posts
+        self._max_words: int | None = None
 
     @property
     def max_words(self) -> int:
-        """Corpus-max word count (0 unless ``"max"`` normalization)."""
+        """Corpus-max word count (0 unless ``"max"`` normalization).
+
+        Computed on first use, so the pass over the post population
+        runs inside the caller's ``quality`` stage.
+        """
+        if self._max_words is None:
+            self._max_words = 0
+            if self._params.length_normalization == "max":
+                self._max_words = max(
+                    (self._words(post) for post in self._posts), default=0
+                )
         return self._max_words
 
     def _words(self, post: Post) -> int:
@@ -103,9 +112,10 @@ class QualityScorer:
         if mode == "log":
             return math.log1p(words)
         # "max": bounded to [0, 1]; an all-empty corpus scores 0.
-        if self._max_words == 0:
+        max_words = self.max_words
+        if max_words == 0:
             return 0.0
-        return words / self._max_words
+        return words / max_words
 
     def novelty_value(self, post: Post) -> float:
         """The Novelty() term (1.0 when the novelty facet is disabled)."""

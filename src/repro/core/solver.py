@@ -207,11 +207,12 @@ class InfluenceSolver:
         self._reference_day = (
             corpus_horizon(corpus) if self._params.decay_active else None
         )
-        self._comment_model = CommentModel(
-            corpus, self._params, sentiment_classifier,
-            sentiment_cache=sentiment_cache,
-            reference_day=self._reference_day,
-        )
+        with self._instr.tracer.span("comment-model"):
+            self._comment_model = CommentModel(
+                corpus, self._params, sentiment_classifier,
+                sentiment_cache=sentiment_cache,
+                reference_day=self._reference_day,
+            )
         # Route per-post word counts / novelty values through the
         # assembly cache when one is attached: posts are immutable, so
         # a warm re-solve only tokenizes the delta's posts.  Novelty is

@@ -13,6 +13,12 @@ distribution is caller-supplied, and dangling mass is redistributed
 special case, and the opinion-leader baseline
 (:mod:`repro.baselines.opinion_leaders`) supplies its novelty-weighted
 teleport; both share this one dangling-node code path.
+
+The power iteration runs on one of two bit-identical kernels: a numpy
+CSR ``bincount`` (one call per iteration) or a pure-Python loop over
+the same edge list.  The sparse solver's
+:func:`~repro.core.sparse_solver.default_kernel` picks one, so
+``REPRO_SPARSE_KERNEL`` forces both solvers alike.
 """
 
 from __future__ import annotations
@@ -112,36 +118,139 @@ def personalized_pagerank(
     if sum(teleport[node] for node in nodes) <= 0.0:
         raise ParameterError("teleport weights must have a positive sum")
 
-    scores = {node: teleport[node] for node in nodes}
-    out_weight = {node: graph.out_degree(node, weighted=True) for node in nodes}
-    dangling = [node for node in nodes if out_weight[node] == 0.0]
+    out_weight = [graph.out_degree(node, weighted=True) for node in nodes]
+    # The edge list in the one accumulation order both kernels share:
+    # by source in node order, then by successor insertion order.
+    position = {node: i for i, node in enumerate(nodes)}
+    sources: list[int] = []
+    targets: list[int] = []
+    weights: list[float] = []
+    for source, node in enumerate(nodes):
+        if out_weight[source] == 0.0:
+            continue
+        for target, weight in graph.successors(node).items():
+            sources.append(source)
+            targets.append(position[target])
+            weights.append(weight)
+    from repro.core.sparse_solver import default_kernel  # core imports graph
 
-    residual = 0.0
-    for iteration in range(1, max_iterations + 1):
-        dangling_mass = sum(scores[node] for node in dangling)
-        next_scores = {
-            node: (1.0 - damping) * teleport[node]
-            + damping * dangling_mass * teleport[node]
-            for node in nodes
-        }
-        for source in nodes:
-            total = out_weight[source]
-            if total == 0.0:
-                continue
-            share = damping * scores[source] / total
-            for target, weight in graph.successors(source).items():
-                next_scores[target] += share * weight
-        residual = sum(abs(next_scores[node] - scores[node]) for node in nodes)
-        scores = next_scores
-        if residual < tolerance:
-            return PageRankResult(scores, iteration, True, residual)
-
-    if strict:
+    iterate = _iterate_numpy if default_kernel() == "numpy" else _iterate_python
+    values, iterations, converged, residual = iterate(
+        [teleport[node] for node in nodes], out_weight,
+        (sources, targets, weights), damping, tolerance, max_iterations,
+    )
+    scores = dict(zip(nodes, values))
+    if strict and not converged:
         raise ConvergenceError(
             f"personalized pagerank did not converge in {max_iterations} "
             f"iterations (residual {residual:.3e} > tolerance {tolerance:.3e})"
         )
-    return PageRankResult(scores, max_iterations, False, residual)
+    return PageRankResult(scores, iterations, converged, residual)
+
+
+_Edges = tuple[list[int], list[int], list[float]]
+
+
+def _iterate_python(
+    teleport: list[float],
+    out_weight: list[float],
+    edges: _Edges,
+    damping: float,
+    tolerance: float,
+    max_iterations: int,
+) -> tuple[list[float], int, bool, float]:
+    """Power iteration over the edge list; the reference kernel.
+
+    Every sum runs sequentially in node order (dangling mass, L1
+    residual), and each node's next mass starts from its base term and
+    then adds its in-edges in edge-list order — the float-operation
+    order :func:`_iterate_numpy` reproduces.
+    """
+    dangling = [i for i, total in enumerate(out_weight) if total == 0.0]
+    edge_list = list(zip(*edges))
+    scores = list(teleport)
+    residual = 0.0
+    for iteration in range(1, max_iterations + 1):
+        dangling_mass = 0.0
+        for i in dangling:
+            dangling_mass += scores[i]
+        next_scores = [
+            (1.0 - damping) * t + damping * dangling_mass * t
+            for t in teleport
+        ]
+        share = [
+            damping * score / total if total != 0.0 else 0.0
+            for score, total in zip(scores, out_weight)
+        ]
+        for source, target, weight in edge_list:
+            next_scores[target] += share[source] * weight
+        residual = 0.0
+        for new, old in zip(next_scores, scores):
+            residual += abs(new - old)
+        scores = next_scores
+        if residual < tolerance:
+            return scores, iteration, True, residual
+    return scores, max_iterations, False, residual
+
+
+def _iterate_numpy(
+    teleport: list[float],
+    out_weight: list[float],
+    edges: _Edges,
+    damping: float,
+    tolerance: float,
+    max_iterations: int,
+) -> tuple[list[float], int, bool, float]:
+    """:func:`_iterate_python` as one CSR ``bincount`` per iteration.
+
+    ``np.bincount`` adds its weights into each bin in array order,
+    starting from 0.0.  Bit identity with the reference kernel follows
+    from three layout rules:
+
+    - edges keep the shared edge-list order (source in node order,
+      then successor insertion order);
+    - each node's base term ``(1-d)·t + d·dm·t`` is that node's first
+      entry, ahead of its edge contributions;
+    - the dangling mass and the L1 residual are bincounts into a
+      single bin, i.e. sequential sums (``np.sum`` sums pairwise).
+    """
+    import numpy as np
+
+    n = len(teleport)
+    sources, targets, weights = edges
+    edge_source = np.array(sources, dtype=np.intp)
+    edge_weight = np.array(weights, dtype=np.float64)
+    edge_total = np.array(out_weight, dtype=np.float64)[edge_source]
+    bins = np.concatenate(
+        [np.arange(n, dtype=np.intp), np.array(targets, dtype=np.intp)]
+    )
+    dangling = np.array(
+        [i for i, total in enumerate(out_weight) if total == 0.0],
+        dtype=np.intp,
+    )
+    one_bin_dangling = np.zeros(len(dangling), dtype=np.intp)
+    one_bin_nodes = np.zeros(n, dtype=np.intp)
+    t = np.array(teleport, dtype=np.float64)
+    scores = t
+    residual = 0.0
+    for iteration in range(1, max_iterations + 1):
+        dangling_mass = float(
+            np.bincount(one_bin_dangling, weights=scores[dangling],
+                        minlength=1)[0]
+        )
+        base = (1.0 - damping) * t + damping * dangling_mass * t
+        contributions = damping * scores[edge_source] / edge_total * edge_weight
+        next_scores = np.bincount(
+            bins, weights=np.concatenate([base, contributions]), minlength=n
+        )
+        residual = float(
+            np.bincount(one_bin_nodes, weights=np.abs(next_scores - scores),
+                        minlength=1)[0]
+        )
+        scores = next_scores
+        if residual < tolerance:
+            return scores.tolist(), iteration, True, residual
+    return scores.tolist(), max_iterations, False, residual
 
 
 def _validate_controls(

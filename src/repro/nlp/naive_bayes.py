@@ -10,7 +10,16 @@ Implementation notes
 - Multinomial event model with Laplace (add-``smoothing``) smoothing.
 - All arithmetic in log space; posteriors normalized with log-sum-exp.
 - Tokens never seen in training are skipped at prediction time (they
-  carry no class signal and would only flatten posteriors).
+  carry no class signal and would only flatten posteriors).  Stopwords
+  never enter a trained vocabulary, so the vocabulary lookup also
+  applies the ``use_stopwords`` filter.
+- Prediction is batched: documents are encoded to vocabulary ids
+  (:meth:`NaiveBayesClassifier.token_ids`) and
+  :meth:`NaiveBayesClassifier.classify_batch` scores a flat id array
+  with a per-document pointer.  The numpy kernel is one ``bincount``
+  per class; the pure-Python kernel is the same sequential sum.  Both
+  return bit-identical posteriors, and the kernel is chosen like the
+  sparse solver's (:func:`repro.core.sparse_solver.default_kernel`).
 - ``NaiveBayesClassifier.from_seed_vocabulary`` trains on per-domain
   seed word lists as pseudo-documents, supporting the paper's
   "predefined by the business applications" domain mode when no
@@ -20,6 +29,7 @@ Implementation notes
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -42,8 +52,9 @@ class NaiveBayesClassifier:
 
     Examples
     --------
-    >>> clf = NaiveBayesClassifier()
-    >>> clf.fit(["the marathon race", "the stock market"], ["Sports", "Economics"])
+    >>> clf = NaiveBayesClassifier().fit(
+    ...     ["the marathon race", "the stock market"], ["Sports", "Economics"]
+    ... )
     >>> clf.predict("a new marathon record")
     'Sports'
     """
@@ -53,9 +64,13 @@ class NaiveBayesClassifier:
             raise ClassifierError(f"smoothing must be > 0, got {smoothing}")
         self._smoothing = smoothing
         self._use_stopwords = use_stopwords
-        self._class_log_prior: dict[str, float] = {}
-        self._word_log_prob: dict[str, dict[str, float]] = {}
-        self._vocabulary: set[str] = set()
+        # Per class (in ``_labels`` order): the log prior and the word
+        # log-probabilities indexed by vocabulary id.
+        self._labels: list[str] = []
+        self._log_priors: list[float] = []
+        self._log_prob_rows: list[list[float]] = []
+        self._log_prob_array = None  # numpy copy, built on first use
+        self._vocabulary_ids: dict[str, int] = {}
         self._trained = False
 
     # ------------------------------------------------------------------
@@ -69,13 +84,13 @@ class NaiveBayesClassifier:
     def classes(self) -> list[str]:
         """Trained class labels in sorted order."""
         self._require_trained()
-        return sorted(self._class_log_prior)
+        return sorted(self._labels)
 
     @property
     def vocabulary_size(self) -> int:
         """Number of distinct feature words seen in training."""
         self._require_trained()
-        return len(self._vocabulary)
+        return len(self._vocabulary_ids)
 
     def _require_trained(self) -> None:
         if not self._trained:
@@ -110,20 +125,23 @@ class NaiveBayesClassifier:
             raise ClassifierError("training corpus has no usable tokens")
 
         total_docs = len(texts)
-        self._class_log_prior = {
-            label: math.log(count / total_docs)
-            for label, count in class_doc_counts.items()
-        }
-        self._word_log_prob = {}
-        vocab_size = len(vocabulary)
-        for label in class_doc_counts:
+        words = sorted(vocabulary)
+        vocab_size = len(words)
+        self._labels = list(class_doc_counts)
+        self._log_priors = [
+            math.log(class_doc_counts[label] / total_docs)
+            for label in self._labels
+        ]
+        self._log_prob_rows = []
+        for label in self._labels:
             counter = word_counts[label]
             total = sum(counter.values()) + self._smoothing * vocab_size
-            self._word_log_prob[label] = {
-                word: math.log((counter.get(word, 0) + self._smoothing) / total)
-                for word in vocabulary
-            }
-        self._vocabulary = vocabulary
+            self._log_prob_rows.append([
+                math.log((counter.get(word, 0) + self._smoothing) / total)
+                for word in words
+            ])
+        self._log_prob_array = None
+        self._vocabulary_ids = {word: i for i, word in enumerate(words)}
         self._trained = True
         return self
 
@@ -152,27 +170,122 @@ class NaiveBayesClassifier:
         return classifier
 
     # ------------------------------------------------------------------
+    def token_ids(self, tokens: Iterable[str]) -> list[int]:
+        """Vocabulary ids of the in-vocabulary ``tokens``, in text order.
+
+        Out-of-vocabulary tokens (stopwords included, when they were
+        filtered out of training) are dropped.
+        """
+        self._require_trained()
+        vocabulary = self._vocabulary_ids
+        return [vocabulary[t] for t in tokens if t in vocabulary]
+
+    def encode(self, texts: Iterable[str]) -> tuple[array, array]:
+        """Tokenize ``texts`` into a flat id array plus a doc pointer.
+
+        Document ``d`` owns ``ids[ptr[d]:ptr[d + 1]]``.  Texts are
+        consumed one at a time, so a generator never has to be held.
+        """
+        ids = array("i")
+        ptr = array("q", [0])
+        for text in texts:
+            ids.extend(self.token_ids(tokenize(text)))
+            ptr.append(len(ids))
+        return ids, ptr
+
+    def classify_batch(
+        self, ids: Sequence[int], ptr: Sequence[int]
+    ) -> list[dict[str, float]]:
+        """Posteriors for a batch of encoded documents.
+
+        The batch entry point behind every prediction: ``ids`` and
+        ``ptr`` are the flat vocabulary-id array and document pointer
+        :meth:`encode` (or :meth:`token_ids` per document) produces.
+        """
+        return [
+            self._normalize(scores) for scores in self._log_scores(ids, ptr)
+        ]
+
+    def predict_proba_batch(
+        self, texts: Iterable[str]
+    ) -> list[dict[str, float]]:
+        """:meth:`predict_proba` for many texts in one kernel call."""
+        return self.classify_batch(*self.encode(texts))
+
+    def _log_scores(
+        self, ids: Sequence[int], ptr: Sequence[int]
+    ) -> list[list[float]]:
+        """Unnormalized log posterior rows, in ``self._labels`` order.
+
+        Each score is ``log_prior + s`` where ``s`` sums the document's
+        word log-probabilities sequentially from 0.0 in text order —
+        exactly what ``np.bincount`` computes, so the two kernels agree
+        bit for bit.
+        """
+        self._require_trained()
+        from repro.core.sparse_solver import default_kernel  # core imports nlp
+
+        num_docs = len(ptr) - 1
+        if default_kernel() == "numpy":
+            import numpy as np
+
+            ptr_arr = np.asarray(ptr, dtype=np.int64)
+            id_arr = np.asarray(ids, dtype=np.intp)
+            doc = np.repeat(
+                np.arange(num_docs, dtype=np.intp), np.diff(ptr_arr)
+            )
+            table = self._numpy_table()
+            columns = [
+                (
+                    prior
+                    + np.bincount(doc, weights=row[id_arr], minlength=num_docs)
+                ).tolist()
+                for prior, row in zip(self._log_priors, table)
+            ]
+            return [list(scores) for scores in zip(*columns)]
+        rows = []
+        for d in range(num_docs):
+            doc = ids[ptr[d]:ptr[d + 1]]
+            scores = []
+            for prior, row in zip(self._log_priors, self._log_prob_rows):
+                total = 0.0
+                for i in doc:
+                    total += row[i]
+                scores.append(prior + total)
+            rows.append(scores)
+        return rows
+
+    def _numpy_table(self):
+        table = self._log_prob_array
+        if table is None:
+            import numpy as np
+
+            table = np.array(self._log_prob_rows, dtype=np.float64)
+            self._log_prob_array = table
+        return table
+
+    def _normalize(self, scores: list[float]) -> dict[str, float]:
+        peak = max(scores)
+        exp_scores = [math.exp(s - peak) for s in scores]
+        total = sum(exp_scores)
+        return {
+            label: value / total
+            for label, value in zip(self._labels, exp_scores)
+        }
+
     def log_posteriors(self, text: str) -> dict[str, float]:
         """Unnormalized log posterior per class for ``text``."""
-        self._require_trained()
-        features = [t for t in self._features(text) if t in self._vocabulary]
-        scores: dict[str, float] = {}
-        for label, log_prior in self._class_log_prior.items():
-            word_probs = self._word_log_prob[label]
-            scores[label] = log_prior + sum(word_probs[t] for t in features)
-        return scores
+        scores = self._log_scores(*self.encode([text]))[0]
+        return dict(zip(self._labels, scores))
 
     def predict_proba(self, text: str) -> dict[str, float]:
         """Posterior P(class | text), normalized to sum to 1.
 
         A text with no in-vocabulary tokens falls back to the class
-        priors — the least-wrong answer for contentless input.
+        priors — the least-wrong answer for contentless input.  This is
+        :meth:`classify_batch` on a batch of one.
         """
-        scores = self.log_posteriors(text)
-        peak = max(scores.values())
-        exp_scores = {label: math.exp(s - peak) for label, s in scores.items()}
-        total = sum(exp_scores.values())
-        return {label: value / total for label, value in exp_scores.items()}
+        return self.predict_proba_batch([text])[0]
 
     def predict(self, text: str) -> str:
         """Most probable class for ``text`` (ties break alphabetically)."""

@@ -42,7 +42,11 @@ def local_delta(corpus, seq=0):
 
 
 class CountingClassifier:
-    """Wraps a classifier and counts ``predict_proba`` invocations."""
+    """Wraps a classifier and counts the texts it classifies.
+
+    Every prediction goes through ``classify_batch``; a batch of ``n``
+    encoded texts counts ``n``.
+    """
 
     def __init__(self, inner):
         self._inner = inner
@@ -52,9 +56,12 @@ class CountingClassifier:
     def classes(self):
         return self._inner.classes
 
-    def predict_proba(self, text):
-        self.calls += 1
-        return self._inner.predict_proba(text)
+    def token_ids(self, tokens):
+        return self._inner.token_ids(tokens)
+
+    def classify_batch(self, ids, ptr):
+        self.calls += len(ptr) - 1
+        return self._inner.classify_batch(ids, ptr)
 
 
 class TestMembershipSharing:
