@@ -30,7 +30,7 @@ from repro.core.domains import DomainInfluence
 from repro.core.novelty import LexiconNoveltyDetector
 from repro.core.parameters import MassParameters
 from repro.core.report import InfluenceReport
-from repro.core.solver import InfluenceScores, InfluenceSolver
+from repro.core.solver import InfluenceSolver
 from repro.core.text_features import text_features
 from repro.data.corpus import BlogCorpus
 from repro.data.entities import Blogger, Comment, Link, Post
@@ -354,18 +354,13 @@ class IncrementalAnalyzer:
         return self._last_iterations
 
     @property
-    def last_changed_ids(self) -> set[str] | None:
-        """Blogger ids whose report-visible state the last apply moved.
+    def last_changed_ids(self) -> None:
+        """Always ``None``: every (re)analysis rebuilds every blogger.
 
-        ``None`` means the last (re)analysis took a full path — cold
-        fit, parameter-invalidated cache, or a delta that was not
-        provably local — and every blogger must be treated as changed.
-        A non-None set is a certified superset of the changed bloggers,
-        which is what lets :meth:`InfluenceSnapshot.evolve
-        <repro.serve.snapshot.InfluenceSnapshot.evolve>` patch the
-        previous snapshot instead of recompiling it.
+        Exists only because ``perfbench/probe.py`` reads it; it goes
+        with the next benchmark change.
         """
-        return self._cache.last_changed_ids
+        return None
 
     # ------------------------------------------------------------------
     def _prepare_posts(self, posts: Iterable[Post]) -> None:
@@ -393,7 +388,6 @@ class IncrementalAnalyzer:
         delta: CorpusDelta | None = None,
     ) -> InfluenceReport:
         cache = self._cache
-        previous = self._report
         if delta is None:
             self._prepare_posts(
                 corpus.post(post_id) for post_id in sorted(corpus.posts)
@@ -410,44 +404,15 @@ class IncrementalAnalyzer:
         ).solve(initial=initial)
         self._last_iterations = scores.iterations
         with self._instr.tracer.span("domains"):
-            return self._build_report(corpus, scores, previous, delta)
-
-    def _build_report(
-        self,
-        corpus: BlogCorpus,
-        scores: InfluenceScores,
-        previous: InfluenceReport | None,
-        delta: CorpusDelta | None,
-    ) -> InfluenceReport:
-        """Eq. 5 domain vectors and rankings over a fresh solve."""
-        changed = self._cache.last_changed_ids
-        if delta is not None and previous is not None and changed is not None:
-            # O(dirty rows) report: patch the previous report's domain
-            # vectors and rankings for the changed bloggers only.  The
-            # membership dict is shared by reference — the analyzer
+            # The membership dict is shared by reference — the analyzer
             # extends it in place, never copies it.
-            domain_influence = DomainInfluence.evolved(
-                previous.domain_influence,
-                corpus,
-                scores,
-                self._memberships,
-                changed_authors=set(self._cache.last_changed_authors or ()),
-            )
-            ranked = previous.general_ranked().patched(
-                {
-                    blogger_id: scores.influence[blogger_id]
-                    for blogger_id in sorted(changed)
-                }
+            domain_influence = DomainInfluence(
+                corpus, scores, self._memberships, self._classifier.classes,
+                share_memberships=True,
             )
             return InfluenceReport(
-                corpus, self._params, scores, domain_influence,
-                ranked=ranked,
+                corpus, self._params, scores, domain_influence
             )
-        domain_influence = DomainInfluence(
-            corpus, scores, self._memberships, self._classifier.classes,
-            share_memberships=True,
-        )
-        return InfluenceReport(corpus, self._params, scores, domain_influence)
 
     def fit(self, corpus: BlogCorpus) -> InfluenceReport:
         """Run the initial full analysis."""
@@ -580,27 +545,6 @@ class IncrementalAnalyzer:
                 "repro_incremental_dirty_rows",
                 "Rows re-assembled by the last dirty-row refresh",
             ).set(self._cache.last_dirty_rows)
-        touched = self._cache.last_frontier_touched_rows
-        changed = self._cache.last_changed_ids
-        if touched is not None:
-            metrics.counter(
-                "repro_incremental_frontier_total",
-                "Warm applies solved by the residual-bounded frontier",
-            ).inc()
-            metrics.gauge(
-                "repro_incremental_touched_rows",
-                "Rows the last frontier solve re-evaluated",
-            ).set(len(touched))
-        else:
-            metrics.counter(
-                "repro_incremental_full_solves_total",
-                "Warm applies that fell back to a full Jacobi solve",
-            ).inc()
-        if changed is not None:
-            metrics.gauge(
-                "repro_incremental_changed_rows",
-                "Bloggers whose report-visible state the last apply moved",
-            ).set(len(changed))
         self._instr.recorder.note(
             "incremental-apply",
             entities=delta.size(),

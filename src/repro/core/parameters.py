@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
@@ -55,6 +56,12 @@ _TIME_DECAY_KINDS = ("none", "exp")
 _GL_METHODS = ("pagerank", "hits", "inlinks")
 _GL_NORMALIZATIONS = ("mean", "sum")
 _SOLVER_BACKENDS = ("reference", "sparse", "parallel", "auto")
+
+#: Fields retired with the block-Jacobi parallel backend.  Their last
+#: defaults stay in :meth:`MassParameters.canonical_dict`, so every
+#: fingerprint (and with it every snapshot epoch and checkpoint) written
+#: before the retirement still matches.
+RETIRED_FIELDS: dict[str, object] = {"num_workers": 0, "shard_count": "auto"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,24 +103,14 @@ class MassParameters:
         ``"reference"`` (dict-of-dicts Jacobi, the paper-shaped code),
         ``"sparse"`` (corpus compiled once into flat CSR index arrays,
         then array sweeps — see :mod:`repro.core.assemble` and
-        :mod:`repro.core.sparse_solver`), ``"parallel"`` (the same
-        compiled system solved shard-by-shard with block-Jacobi sweeps
-        across a worker pool — see :mod:`repro.core.parallel`), or
-        ``"auto"`` (the default: resolves to ``"sparse"``; the sparse
-        kernels pick numpy when it is importable and fall back to
-        pure-python ``array`` sweeps).  All backends agree to 1e-9 —
-        the equivalence suites in ``tests/test_backend_equivalence.py``
-        and ``tests/test_parallel.py`` enforce it.
-    num_workers:
-        Worker count for the parallel backend.  ``0`` (the default)
-        resolves at solve time: the ``REPRO_PARALLEL_WORKERS``
-        environment variable if set, else ``os.cpu_count()``.  Ignored
-        by the other backends.
-    shard_count:
-        Row-shard count for the parallel backend: a positive int, or
-        ``"auto"`` (the default) for roughly four shards per worker.
-        Shards are clamped to the blogger count at solve time.  Ignored
-        by the other backends.
+        :mod:`repro.core.sparse_solver`), or ``"auto"`` (the default:
+        resolves to ``"sparse"``; the sparse kernels pick numpy when it
+        is importable and fall back to pure-python ``array`` sweeps).
+        The two backends agree to 1e-9 — the equivalence suite in
+        ``tests/test_backend_equivalence.py`` enforces it.
+        ``"parallel"`` (the retired block-Jacobi backend) is a
+        deprecated alias of ``"sparse"``: it warns, solves on the sparse
+        backend, and keeps its own fingerprint so old checkpoints load.
     include_self_comments:
         Whether a blogger commenting on their own post contributes to
         that post's CommentScore (default False).
@@ -150,8 +147,6 @@ class MassParameters:
     use_citation: bool = True
     use_novelty: bool = True
     solver_backend: str = "auto"
-    num_workers: int = 0
-    shard_count: int | str = "auto"
     include_self_comments: bool = False
     time_decay_kind: str = "none"
     time_decay_half_life_days: float = float("inf")
@@ -192,16 +187,12 @@ class MassParameters:
                 f"solver_backend must be one of {_SOLVER_BACKENDS}, "
                 f"got {self.solver_backend!r}"
             )
-        if not isinstance(self.num_workers, int) or self.num_workers < 0:
-            raise ParameterError(
-                f"num_workers must be an int >= 0, got {self.num_workers!r}"
-            )
-        if self.shard_count != "auto" and (
-            not isinstance(self.shard_count, int) or self.shard_count < 1
-        ):
-            raise ParameterError(
-                "shard_count must be 'auto' or an int >= 1, got "
-                f"{self.shard_count!r}"
+        if self.solver_backend == "parallel":
+            warnings.warn(
+                'solver_backend="parallel" is deprecated and solves on the '
+                '"sparse" backend',
+                DeprecationWarning,
+                stacklevel=3,
             )
         if self.sentiment_mode not in ("discrete", "graded"):
             raise ParameterError(
@@ -312,9 +303,10 @@ class MassParameters:
         about one reference iteration) and the kernel itself selects
         numpy when available.  The reference backend remains the
         executable specification of Eqs. 1–4 and the anchor of the
-        backend-equivalence suite.
+        backend-equivalence suite.  The deprecated ``"parallel"``
+        resolves to ``"sparse"`` too.
         """
-        if self.solver_backend == "auto":
+        if self.solver_backend in ("auto", "parallel"):
             return "sparse"
         return self.solver_backend
 
@@ -355,17 +347,20 @@ class MassParameters:
         *omitted* entirely: an inert-decay solve is bit-identical to
         the undecayed model, so it must also share its fingerprint —
         snapshot epochs stay stable and checkpoints written before the
-        temporal facet existed remain loadable.
+        temporal facet existed remain loadable.  The
+        :data:`RETIRED_FIELDS` keep their last defaults for the same
+        reason.
         """
         skip = (
             frozenset(("time_decay_kind", "time_decay_half_life_days"))
             if not self.decay_active else frozenset()
         )
-        return {
-            name: getattr(self, name)
-            for name in sorted(f.name for f in fields(self))
-            if name not in skip
-        }
+        values = dict(RETIRED_FIELDS)
+        values.update(
+            (f.name, getattr(self, f.name))
+            for f in fields(self) if f.name not in skip
+        )
+        return dict(sorted(values.items()))
 
     def fingerprint(self) -> str:
         """A stable content hash of the full parameter set.

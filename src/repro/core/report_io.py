@@ -18,7 +18,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from repro.core.domains import DomainInfluence
-from repro.core.parameters import MassParameters
+from repro.core.parameters import RETIRED_FIELDS, MassParameters
 from repro.core.report import InfluenceReport
 from repro.core.solver import InfluenceScores
 from repro.data.corpus import BlogCorpus
@@ -46,6 +46,10 @@ def _params_from_element(element: ET.Element) -> MassParameters:
         raw = param.get("value")
         if name is None or raw is None:
             raise XmlFormatError("malformed <param> element")
+        if name in RETIRED_FIELDS:
+            # Written before the parallel backend was retired; no value
+            # of either field ever moved a score.
+            continue
         if name not in _PARAM_FIELDS:
             raise XmlFormatError(f"unknown parameter {name!r}")
         if raw in ("True", "False"):

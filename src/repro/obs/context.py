@@ -1,7 +1,7 @@
 """Request-scoped trace context for cross-tier correlation.
 
 PR 1's spans and metrics are per-component islands: the HTTP handler,
-the snapshot refresher, the incremental solver, and the shard workers
+the snapshot refresher, the incremental solver, and the serving workers
 each record telemetry, but nothing ties one request's slice of each
 together.  A :class:`TraceContext` is that tie — a ``trace_id`` minted
 once at the edge (``serve/http.py`` per request, or any caller of
@@ -20,8 +20,8 @@ Propagation rules:
   ``current_trace()`` where the work is enqueued (e.g.
   ``SnapshotStore.submit``) and re-activate it where the work runs.
 - **Across processes**: serialize with :meth:`TraceContext.to_dict`,
-  rebuild with :meth:`TraceContext.from_dict` (``core/parallel.py``
-  ships the dict to forked shard workers).
+  rebuild with :meth:`TraceContext.from_dict` (the snapshot arena in
+  ``serve/shm.py`` ships the dict to forked serving workers).
 - **Across the wire**: the HTTP layer accepts and echoes the id via
   the ``X-Repro-Trace-Id`` header; :meth:`TraceContext.from_header`
   validates an inbound value and mints a fresh trace otherwise.

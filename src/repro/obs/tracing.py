@@ -218,8 +218,8 @@ class Tracer:
         The span is attached under the innermost open span (or as a new
         root), closed immediately with the reported ``duration``, and
         stamped with the *remote* trace/span/parent ids — this is how
-        shard-worker spans measured inside forked children re-enter the
-        request's tree.  ``start`` is back-dated from now by
+        ``replica-attach`` spans measured inside forked serving workers
+        re-enter the publishing refresh's tree.  ``start`` is back-dated from now by
         ``duration``, so offsets are approximate; durations are exact.
         """
         if not self.enabled:

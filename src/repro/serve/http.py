@@ -36,7 +36,7 @@ Request correlation: each request gets a :class:`TraceContext` —
 adopted from an inbound ``X-Repro-Trace-Id`` header or minted fresh —
 active for the whole handler, echoed back in the ``X-Repro-Trace-Id``
 response header.  Every span the request causes anywhere (engine,
-store refresh, incremental solve, shard workers) carries the same
+store refresh, incremental solve, worker attach) carries the same
 trace id, so one id pulled from a response header finds the whole
 story in ``/debug/traces`` and ``/debug/events``.
 
@@ -439,7 +439,7 @@ class _Handler(BaseHTTPRequestHandler):
         # One trace per request: adopt the caller's id (distributed
         # callers correlate across services) or mint a fresh one; it is
         # active for everything this handler causes — including a
-        # synchronous snapshot refresh and its shard workers — and is
+        # synchronous snapshot refresh and its solve — and is
         # echoed in the response header.
         ctx = TraceContext.from_header(
             self.headers.get("X-Repro-Trace-Id")

@@ -7,7 +7,7 @@ without locks on the hot path:
 - **Snapshots** — the master compiles each
   :class:`~repro.serve.snapshot.InfluenceSnapshot` once and publishes
   its serialized payload into a :class:`SnapshotArena` (a
-  :class:`~repro.core.parallel.SeqlockArena`); every worker holds an
+  :class:`SeqlockArena`); every worker holds an
   :class:`ArenaSnapshotSource` that notices the version bump on its
   next request, deserializes the new epoch exactly once, and keeps
   answering from its private replica.  The seqlock protocol guarantees
@@ -17,7 +17,7 @@ without locks on the hot path:
 - **Metrics** — ``/metrics`` served by one worker must still tell the
   truth about the whole cluster.  :class:`SharedHttpStats` stripes one
   lane of float64 slots per worker (single writer per slot) over a
-  :class:`~repro.core.parallel.SharedF64Array`; any worker can render
+  :class:`SharedF64Array`; any worker can render
   the cross-worker aggregate.
 
 - **Supervision** — the master records worker pids, respawn counts and
@@ -32,11 +32,11 @@ them — nothing is pickled, nothing needs a filesystem rendezvous.
 from __future__ import annotations
 
 import json
+import mmap
 import pickle
 import threading
 import time
 
-from repro.core.parallel import SeqlockArena, SharedF64Array
 from repro.errors import ReproError
 from repro.obs import (
     LATENCY_BUCKETS,
@@ -47,6 +47,8 @@ from repro.obs import (
 from repro.serve.snapshot import InfluenceSnapshot
 
 __all__ = [
+    "SeqlockArena",
+    "SharedF64Array",
     "SnapshotArena",
     "ArenaSnapshotSource",
     "SharedHttpStats",
@@ -61,6 +63,178 @@ DEFAULT_ARENA_BYTES = 64 << 20
 
 #: Envelope format stamp (the arena payload wrapping the snapshot).
 ENVELOPE_FORMAT = 1
+
+# ----------------------------------------------------------------------
+# Shared-memory primitives (fork-inherited, single-writer)
+# ----------------------------------------------------------------------
+# Both sit on an anonymous ``mmap`` (``mmap.mmap(-1, n)`` maps
+# MAP_SHARED pages, so children forked *after* construction see the
+# same memory):
+#
+# - :class:`SeqlockArena` — a variable-length payload one writer
+#   republishes and many reader processes poll, with a seqlock version
+#   word so a reader can never observe a torn (half-swapped) payload;
+# - :class:`SharedF64Array` — a flat float64 slot array for counters
+#   that must aggregate across processes, on the discipline that each
+#   slot has exactly one writer.
+#
+# Every word another process may read concurrently is stored and loaded
+# as one aligned 8-byte item through a ``memoryview`` cast.
+# ``struct.pack_into`` is not usable for that: CPython's ``_struct``
+# writes integers one byte at a time, so a reader could see a version
+# word half-way through a carry (255 -> 256 reads as 0, "unpublished").
+
+_SEQLOCK_HEADER_BYTES = 16  # (version, payload length) as two u64 words
+_SEQLOCK_TAG_BYTES = 128
+
+
+class SeqlockArena:
+    """A single-writer, multi-reader shared-memory publication slot.
+
+    Layout: an 8-byte version word, an 8-byte payload length, a
+    fixed-width UTF-8 tag (truncated to :data:`_SEQLOCK_TAG_BYTES`),
+    then the payload bytes.  The writer bumps the version to an *odd*
+    value, rewrites tag + payload, then bumps it to the next *even*
+    value; readers retry while the version is odd or changes across
+    their copy.  Version 0 means "never published".
+
+    One process writes (:meth:`publish`), any number of processes that
+    inherited the arena over ``fork`` read (:meth:`read`); there is no
+    cross-process locking, only the version protocol, so readers never
+    block the writer and vice versa.
+    """
+
+    __slots__ = ("_mmap", "_header", "_capacity", "_lock")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ReproError(
+                f"arena capacity must be >= 1 byte, got {capacity}"
+            )
+        self._capacity = int(capacity)
+        total = _SEQLOCK_HEADER_BYTES + _SEQLOCK_TAG_BYTES + self._capacity
+        self._mmap = mmap.mmap(-1, total)
+        self._header = memoryview(self._mmap)[:_SEQLOCK_HEADER_BYTES].cast(
+            "Q"
+        )
+        # Serializes *threads* of the single writer process; the
+        # cross-process story is the seqlock itself.
+        self._lock = threading.Lock()
+
+    @property
+    def capacity(self) -> int:
+        """Largest payload this arena can hold, in bytes."""
+        return self._capacity
+
+    @property
+    def version(self) -> int:
+        """The current version word (even = stable, odd = mid-swap)."""
+        return self._header[0]
+
+    def publish(self, payload: bytes, tag: str = "") -> int:
+        """Swap in a new payload; returns the new (even) version."""
+        if len(payload) > self._capacity:
+            raise ReproError(
+                f"payload of {len(payload)} bytes exceeds arena "
+                f"capacity {self._capacity}"
+            )
+        raw_tag = tag.encode("utf-8")[:_SEQLOCK_TAG_BYTES]
+        raw_tag = raw_tag.ljust(_SEQLOCK_TAG_BYTES, b"\x00")
+        header = self._header
+        with self._lock:
+            version = header[0]
+            odd = version + 1 if version % 2 == 0 else version
+            header[0] = odd
+            header[1] = len(payload)
+            start = _SEQLOCK_HEADER_BYTES
+            self._mmap[start:start + _SEQLOCK_TAG_BYTES] = raw_tag
+            body = start + _SEQLOCK_TAG_BYTES
+            self._mmap[body:body + len(payload)] = payload
+            final = odd + 1
+            header[0] = final
+            return final
+
+    def read(self) -> tuple[int, str, bytes] | None:
+        """A consistent ``(version, tag, payload)``; None if unpublished.
+
+        Retries until a stable even version brackets the copy — a
+        reader overlapping a swap gets either the old or the new
+        payload, never a mix.
+        """
+        header = self._header
+        spins = 0
+        while True:
+            before = header[0]
+            if before == 0:
+                return None
+            if before % 2 == 0:
+                length = header[1]
+                start = _SEQLOCK_HEADER_BYTES
+                raw_tag = bytes(
+                    self._mmap[start:start + _SEQLOCK_TAG_BYTES]
+                )
+                body = start + _SEQLOCK_TAG_BYTES
+                payload = bytes(self._mmap[body:body + length])
+                if header[0] == before:
+                    tag = raw_tag.rstrip(b"\x00").decode("utf-8")
+                    return before, tag, payload
+            spins += 1
+            if spins >= 64:  # writer mid-swap for a while: yield the CPU
+                time.sleep(0.0005)
+
+    def close(self) -> None:
+        """Release the header view and unmap (after every reader is gone)."""
+        self._header.release()
+        try:
+            self._mmap.close()
+        except BufferError:  # pragma: no cover - exported views linger
+            pass
+
+
+class SharedF64Array:
+    """A flat float64 slot array in fork-shared anonymous memory.
+
+    No locking: correctness relies on the *single-writer-per-slot*
+    discipline (each worker process updates only its own slots) plus
+    aligned 8-byte stores, which do not interleave with concurrent
+    8-byte loads on the platforms fork exists on.  Readers aggregating
+    across slots may observe different slots at slightly different
+    instants — fine for monitoring counters, which is the use case.
+    """
+
+    __slots__ = ("_mmap", "_view", "_slots")
+
+    def __init__(self, slots: int) -> None:
+        if slots < 1:
+            raise ReproError(f"need at least one slot, got {slots}")
+        self._slots = int(slots)
+        self._mmap = mmap.mmap(-1, self._slots * 8)
+        self._view = memoryview(self._mmap).cast("d")
+
+    def __len__(self) -> int:
+        return self._slots
+
+    def __getitem__(self, index: int) -> float:
+        return self._view[index]
+
+    def __setitem__(self, index: int, value: float) -> None:
+        self._view[index] = value
+
+    def add(self, index: int, amount: float) -> None:
+        """Read-modify-write one slot (single writer per slot only)."""
+        self._view[index] += amount
+
+    def snapshot(self) -> list[float]:
+        """Copy out every slot (one float read each, not atomic as a set)."""
+        return self._view.tolist()
+
+    def close(self) -> None:
+        """Release the view and unmap (after every reader is gone)."""
+        self._view.release()
+        try:
+            self._mmap.close()
+        except BufferError:  # pragma: no cover - exported views linger
+            pass
 
 
 class SnapshotArena:
@@ -332,7 +506,7 @@ class SharedHttpStats:
     One float64 lane per worker: the five canonical counters, then the
     latency histogram's bucket counts, sum, and count.  Each worker
     writes only its own lane (the single-writer-per-slot discipline of
-    :class:`~repro.core.parallel.SharedF64Array`); any process renders
+    :class:`SharedF64Array`); any process renders
     the aggregate.  The exposition uses the *same* metric names the
     single-process server registers locally, so dashboards and the
     smoke tests need no cluster-specific queries, plus per-worker

@@ -20,7 +20,6 @@ import time
 import pytest
 
 from repro.core import MassModel, MassParameters
-from repro.core.parallel import SeqlockArena, SharedF64Array
 from repro.errors import ReproError
 from repro.serve import (
     ArenaSnapshotSource,
@@ -29,6 +28,7 @@ from repro.serve import (
     SharedHttpStats,
     SnapshotArena,
 )
+from repro.serve.shm import SeqlockArena, SharedF64Array
 from repro.serve.snapshot import PAYLOAD_FORMAT
 
 _FORK = multiprocessing.get_context("fork")

@@ -1,12 +1,13 @@
-"""End-to-end trace propagation: one trace id from socket to shard worker.
+"""End-to-end trace propagation: one trace id from socket to solver.
 
 The acceptance path for the trace-context tentpole: an HTTP ``/query``
 that arrives with an ``X-Repro-Trace-Id``, finds the snapshot stale,
 pays for the refresh on its own thread, and drives the warm re-solve
-through the shard-parallel backend must leave ONE trace — handler span,
-refresh span, incremental apply, solver, and at least one adopted
-shard-worker span from a forked process — all stamped with the id the
-client sent (and echoed back in the response header).
+must leave ONE trace — handler span, refresh span, incremental apply,
+solver and its iterate sweep — all stamped with the id the client sent
+(and echoed back in the response header).  Adoption of spans from
+other processes is covered by ``tests/test_obs_tracing.py`` and the
+serving-worker attach path.
 """
 
 import json
@@ -40,7 +41,7 @@ def make_delta(store, seq=0):
 
 @pytest.fixture()
 def traced_service(fig1_corpus, fig1_seed_words):
-    """A server whose re-solves run on the shard-parallel backend.
+    """A server on the default solver backend.
 
     ``max_staleness=0.0`` + no background refresher means the *next
     read* pays for any pending delta synchronously — deterministic, and
@@ -49,9 +50,7 @@ def traced_service(fig1_corpus, fig1_seed_words):
     instr = Instrumentation.enabled()
     store = SnapshotStore(
         fig1_corpus,
-        params=MassParameters(
-            solver_backend="parallel", num_workers=2, shard_count=4,
-        ),
+        params=MassParameters(),
         domain_seed_words=fig1_seed_words,
         max_staleness=0.0,
         instrumentation=instr,
@@ -109,17 +108,11 @@ class TestEndToEnd:
 
         spans = spans_by_trace(instr.tracer, CLIENT_TRACE_ID)
         names = {span.name for span in spans}
-        # Handler → synchronous refresh → incremental solve → parallel
-        # shards → forked worker records, all under the client's id.
+        # Handler → synchronous refresh → incremental solve → Jacobi
+        # sweeps, all under the client's id.
         for expected in ("http-request", "serve-refresh",
-                         "incremental-apply", "solver", "shard-worker"):
+                         "incremental-apply", "solver", "iterate"):
             assert expected in names, (expected, sorted(names))
-        workers = [s for s in spans if s.name == "shard-worker"]
-        assert len(workers) >= 1
-        for worker in workers:
-            assert worker.trace_id == CLIENT_TRACE_ID
-            (event,) = worker.events
-            assert event["sweeps"] >= 1
 
     def test_span_tree_parents_chain_back_to_the_handler(
         self, traced_service

@@ -1,9 +1,8 @@
-"""Regression tests for the O(dirty-rows) warm apply path.
+"""Regression tests for the warm apply path.
 
-Covers the warm-path bugfix sweep: membership sharing (no O(corpus)
-copy per apply), delta-only post classification, the structured
-link-weight-decrease warning, the residual-bounded frontier solve, and
-``InfluenceSnapshot.evolve``.
+Covers membership sharing (no O(corpus) copy per apply), delta-only
+post classification, the structured link-weight-decrease warning, and
+the warm-started full solve held to a cold fit.
 """
 
 import logging
@@ -12,11 +11,9 @@ import pytest
 
 from repro.core import CorpusDelta, IncrementalAnalyzer
 from repro.core.incremental import _copy_corpus
-from repro.core.topk import full_ranking, top_k
 from repro.data import Blogger, Comment, CorpusBuilder, Link, Post
-from repro.errors import CorpusError, ReproError
+from repro.errors import CorpusError
 from repro.nlp import NaiveBayesClassifier
-from repro.serve.snapshot import InfluenceSnapshot
 from repro.synth import DOMAIN_VOCABULARIES
 
 
@@ -28,8 +25,8 @@ def classifier():
 def local_delta(corpus, seq=0):
     """A delta touching only existing bloggers: no new rows, no links.
 
-    Such a delta leaves the GL scores provably unchanged, which is what
-    lets the solver take the residual-bounded frontier path.
+    Such a delta leaves the GL scores provably unchanged, so the warm
+    apply reuses the cached GL vector.
     """
     authors = sorted(corpus.blogger_ids())
     post = Post(f"warm-post-{seq:02d}", authors[seq % len(authors)],
@@ -165,30 +162,7 @@ class TestLinkWeightDecreaseWarning:
 
 
 class TestFrontierWarmApply:
-    """The tentpole: local deltas ride the residual-bounded frontier."""
-
-    def test_local_delta_engages_frontier(self, classifier,
-                                          small_blogosphere):
-        corpus, _ = small_blogosphere
-        analyzer = IncrementalAnalyzer(classifier)
-        analyzer.fit(corpus)
-        assert analyzer.last_changed_ids is None  # cold fit: full path
-        report = analyzer.apply(local_delta(analyzer._corpus))
-        cache = analyzer._cache
-        assert cache.last_frontier_touched_rows is not None
-        assert analyzer.last_changed_ids is not None
-        # The frontier never leaves the dependency closure of its seeds.
-        closure = set(cache.last_frontier_seed_rows)
-        dependents = cache.ensure_dependents()
-        frontier = list(closure)
-        while frontier:
-            row = frontier.pop()
-            for dep in dependents.get(row, ()):
-                if dep not in closure:
-                    closure.add(dep)
-                    frontier.append(dep)
-        assert cache.last_frontier_touched_rows <= closure
-        assert report.converged
+    """Every warm apply is one warm-started full solve."""
 
     def test_newcomer_delta_falls_back_to_full_path(
         self, classifier, small_blogosphere
@@ -200,10 +174,17 @@ class TestFrontierWarmApply:
             bloggers=[Blogger("newcomer-88")],
             links=[Link(sorted(corpus.blogger_ids())[0], "newcomer-88")],
         )
-        analyzer.apply(delta)
-        # New bloggers/links move GL: the frontier must not engage.
-        assert analyzer._cache.last_frontier_touched_rows is None
+        report = analyzer.apply(delta)
+        # New bloggers/links move GL; the warm solve still lands on the
+        # cold fixed point.
         assert analyzer.last_changed_ids is None
+        assert "newcomer-88" in report.scores.influence
+        cold = IncrementalAnalyzer(classifier).fit(
+            _copy_corpus(analyzer._corpus)
+        )
+        for blogger_id, value in cold.scores.influence.items():
+            assert report.scores.influence[blogger_id] == \
+                pytest.approx(value, abs=1e-9)
 
     def test_warm_scores_match_cold_solve(self, classifier,
                                           small_blogosphere):
@@ -218,82 +199,3 @@ class TestFrontierWarmApply:
         for blogger_id, value in cold.scores.influence.items():
             assert report.scores.influence[blogger_id] == \
                 pytest.approx(value, abs=1e-9)
-
-    def test_patched_rankings_match_rebuilt(self, classifier,
-                                            small_blogosphere):
-        corpus, _ = small_blogosphere
-        analyzer = IncrementalAnalyzer(classifier)
-        analyzer.fit(corpus)
-        report = analyzer.apply(local_delta(analyzer._corpus))
-        assert report.ranking() == full_ranking(report.scores.influence)
-        assert report.top_influencers(5) == top_k(
-            report.scores.influence, 5
-        )
-        for domain in report.domains:
-            assert report.ranking(domain) == full_ranking(
-                report.domain_influence.domain_scores(domain)
-            )
-
-
-class TestSnapshotEvolve:
-    def _fitted(self, classifier, small_blogosphere):
-        corpus, _ = small_blogosphere
-        analyzer = IncrementalAnalyzer(classifier)
-        analyzer.fit(corpus)
-        return analyzer
-
-    def test_evolved_payload_matches_fresh_compile(
-        self, classifier, small_blogosphere
-    ):
-        analyzer = self._fitted(classifier, small_blogosphere)
-        snap = InfluenceSnapshot.compile(
-            analyzer.report, created_at=1.0, created_monotonic=2.0
-        )
-        report = analyzer.apply(local_delta(analyzer._corpus))
-        changed = analyzer.last_changed_ids
-        assert changed is not None
-        evolved = InfluenceSnapshot.evolve(
-            snap, report, changed, created_at=1.0, created_monotonic=2.0
-        )
-        fresh = InfluenceSnapshot.compile(
-            report, created_at=1.0, created_monotonic=2.0
-        )
-        assert evolved.to_payload() == fresh.to_payload()
-        assert evolved.epoch == fresh.epoch
-
-    def test_evolve_rejects_parameter_change(
-        self, classifier, small_blogosphere
-    ):
-        from repro.core import MassParameters
-
-        analyzer = self._fitted(classifier, small_blogosphere)
-        snap = InfluenceSnapshot.compile(analyzer.report)
-        other = IncrementalAnalyzer(
-            classifier, params=MassParameters(alpha=0.7)
-        )
-        report = other.fit(_copy_corpus(analyzer._corpus))
-        with pytest.raises(ReproError, match="fingerprint"):
-            InfluenceSnapshot.evolve(snap, report, set())
-
-    def test_store_refresh_uses_evolve(self, small_blogosphere):
-        from repro.obs import Instrumentation
-        from repro.serve.store import SnapshotStore
-
-        corpus, _ = small_blogosphere
-        instr = Instrumentation()
-        store = SnapshotStore(corpus, instrumentation=instr)
-        before = store.snapshot
-        store.submit(local_delta(corpus))
-        after = store.refresh_now()
-        assert after is not before
-        evolves = instr.metrics.counter(
-            "repro_snapshot_evolve_total",
-            "Snapshot refreshes served by the O(changed) evolve path",
-        ).value
-        assert evolves == 1
-        # The evolved snapshot serves the same answers a fresh compile
-        # would.
-        fresh = InfluenceSnapshot.compile(store.report)
-        assert after.top(5) == fresh.top(5)
-        for domain in after.domains:
-            assert after.top(5, domain) == fresh.top(5, domain)
